@@ -164,17 +164,9 @@ def sensitivity_homodyne(
         raise WrongConvention("homodyne detection needs an external phase reference")
     ac = a_coefficients(angles, 0.0, phi)
     k = k_coefficients(angles, phi)
-    cov44 = (
-        0.5 * (1.0 + k.kz) * fm.cov_n0
-        + 0.5 * (1.0 - k.kz) * fm.cov_n1
-        + k.kx * fm.cov_a0_a1dag.real
-        - k.ky * fm.cov_a0_a1dag.imag
-    )
-    var_a4 = (
-        ac.a40 * ac.a40 * fm.var_a0
-        + ac.a41 * ac.a41 * fm.var_a1
-        + 2.0 * ac.a40 * ac.a41 * fm.cov_a0_a1
-    )
+    # product inputs: the cross-mode field covariances are zero
+    cov44 = 0.5 * (1.0 + k.kz) * fm.cov_n0 + 0.5 * (1.0 - k.kz) * fm.cov_n1
+    var_a4 = ac.a40 * ac.a40 * fm.var_a0 + ac.a41 * ac.a41 * fm.var_a1
     variance = 0.25 + 0.5 * (cov44 + (cmath.exp(-2j * phi_local) * var_a4).real)
     e = cmath.exp(-1j * (phi_local + phi))
     derivative = (

@@ -46,15 +46,12 @@ __all__ = [
 class OracleConfig:
     tail_tolerance: float = 1e-10
     max_joint_dimension: int = 4096
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if not 0.0 < self.tail_tolerance <= 1e-6:
             raise ValueError("tail_tolerance must lie in (0, 1e-6]")
         if self.max_joint_dimension < 1:
             raise ValueError("max_joint_dimension must be positive")
-        if self.fd_step <= 0.0:
-            raise ValueError("fd_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -151,12 +148,15 @@ def build_state(state: InputState, cfg: OracleConfig = OracleConfig()) -> Trunca
 # evolution
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=512)
-def _block_unitary(angle: float, block: int) -> np.ndarray:
-    """exp(i*angle*Jx) restricted to the (block+1)-dimensional subspace of
-    total photon number ``block``; basis ordered by n0 descending."""
-    if block == 0:
-        return np.ones((1, 1), dtype=complex)
+@lru_cache(maxsize=None)
+def _block_unitary(block: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis (m, V) of Jx on the (block+1)-dimensional subspace of total
+    photon number ``block``; basis ordered by n0 descending.
+
+    exp(i*angle*Jx) on the block is V diag(e^{i angle m}) V^T for every
+    angle, so the cache holds one entry per block.  The arrays are read-only
+    because every caller shares them.
+    """
     # Jx couples |n0, n1> and |n0-1, n1+1> with strength sqrt(n0*(n1+1))/2
     k = np.arange(block)  # index with n0 = block - k
     off = 0.5 * np.sqrt((block - k) * (k + 1.0))
@@ -164,24 +164,35 @@ def _block_unitary(angle: float, block: int) -> np.ndarray:
     jx[k, k + 1] = off
     jx[k + 1, k] = off
     evals, evecs = np.linalg.eigh(jx)
-    phases = np.exp(1j * angle * evals)
-    return (evecs * phases) @ evecs.T
+    evals.flags.writeable = False
+    evecs.flags.writeable = False
+    return evals, evecs
+
+
+def _evolve(amps: np.ndarray, angle: float) -> np.ndarray:
+    """exp(i*angle*Jx) on amplitude arrays stacked along a trailing axis.
+
+    Only occupied blocks are evolved: the output side is the highest total
+    photon number with a nonzero amplitude plus one, so every occupied
+    anti-diagonal fits completely inside the output square.
+    """
+    rows, cols = np.nonzero(np.any(amps != 0.0, axis=-1))
+    size = int(np.max(rows + cols)) + 1
+    padded = np.zeros((size, size) + amps.shape[2:], dtype=complex)
+    head = amps[:size, :size]  # rows and columns past the top block are empty
+    padded[: head.shape[0], : head.shape[1]] = head
+    out = np.zeros_like(padded)
+    for total in range(size):
+        m, v = _block_unitary(total)
+        n0 = np.arange(total, -1, -1)
+        block = (n0, total - n0)
+        out[block] = v @ (np.exp(1j * angle * m)[:, None] * (v.T @ padded[block]))
+    return out
 
 
 def evolve_bs(state: TruncatedState, angle: float) -> TruncatedState:
     """Apply one beam splitter of mixing angle ``angle`` (exact unitary)."""
-    d0, d1 = state.dim0, state.dim1
-    size = d0 + d1 - 1
-    padded = np.zeros((size, size), dtype=complex)
-    padded[:d0, :d1] = state.amplitudes
-    out = np.zeros_like(padded)
-    # the input support has total photon number <= size - 1, so every
-    # occupied anti-diagonal fits completely inside the padded square
-    for total in range(size):
-        n0 = np.arange(total, -1, -1)
-        n1 = total - n0
-        out[n0, n1] = _block_unitary(float(angle), total) @ padded[n0, n1]
-    return TruncatedState(out)
+    return TruncatedState(_evolve(state.amplitudes[..., None], angle)[..., 0])
 
 
 def apply_phases(state: TruncatedState, phi1: float, phi2: float) -> TruncatedState:
@@ -281,17 +292,6 @@ def variance(state: TruncatedState, observable: Observable) -> float:
     return float((np.vdot(applied, applied) - abs(mean) ** 2).real)
 
 
-def _quadrature_stats(state: TruncatedState, phi_local: float) -> tuple[float, float]:
-    """Mean and variance of X = (e^{-i phi_local} a0 + h.c.)/2 on slot 0."""
-    p = _padded(state.amplitudes)
-    x = 0.5 * (
-        cmath.exp(-1j * phi_local) * _apply_a0(p) + cmath.exp(1j * phi_local) * _apply_a0dag(p)
-    )
-    mean = np.vdot(p, x)
-    var = (np.vdot(x, x) - abs(mean) ** 2).real
-    return float(mean.real), float(var)
-
-
 # ---------------------------------------------------------------------------
 # derived oracle quantities
 # ---------------------------------------------------------------------------
@@ -353,13 +353,16 @@ def oracle_mean_n4(
     return expectation(out, Observable.N0).real
 
 
-def _output_mean_and_var(scheme, after_bs1: TruncatedState, theta_prime, phi, phi_local):
-    out = evolve_bs(apply_phases(after_bs1, 0.0, phi), theta_prime)
+def _detected(scheme: Scheme, p: np.ndarray, phi_local: float) -> np.ndarray:
+    """O|p> for the observable the scheme reads: n0 - n1, n0, or the
+    quadrature X = (e^{-i phi_local} a0 + h.c.)/2 on slot 0."""
     if scheme is Scheme.DIFFERENCE_INTENSITY:
-        return expectation(out, Observable.ND).real, variance(out, Observable.ND)
+        return _apply(Observable.ND, p)
     if scheme is Scheme.SINGLE_MODE_INTENSITY:
-        return expectation(out, Observable.N0).real, variance(out, Observable.N0)
-    return _quadrature_stats(out, phi_local)
+        return _apply(Observable.N0, p)
+    return 0.5 * (
+        cmath.exp(-1j * phi_local) * _apply_a0(p) + cmath.exp(1j * phi_local) * _apply_a0dag(p)
+    )
 
 
 def oracle_sensitivity(
@@ -369,23 +372,23 @@ def oracle_sensitivity(
     scheme: Scheme,
     cfg: OracleConfig = OracleConfig(),
 ) -> float:
-    """Numeric error-propagation sensitivity.
+    """Numeric error-propagation sensitivity, exact on the truncated state.
 
-    The variance is exact on the truncated state; the mean slope uses a
-    Richardson-extrapolated central difference with step ``cfg.fd_step``.
+    Inside the interferometer phi multiplies n1, so d(psi)/d(phi) = -i n1 psi.
+    BS2 is linear: psi and its derivative pass through it as one stack, and
+    the mean, the variance and the slope 2 Re<d psi|O|psi> of the detected
+    observable O all come from one application of O.
     """
-    after_bs1 = evolve_bs(build_state(state, cfg), angles.theta)
-    theta_prime = angles.theta_prime
-    phi, lo = phases.phi, phases.phi_local
-    h = cfg.fd_step
-
-    def mean_at(p: float) -> float:
-        return _output_mean_and_var(scheme, after_bs1, theta_prime, p, lo)[0]
-
-    _, var = _output_mean_and_var(scheme, after_bs1, theta_prime, phi, lo)
-    d_full = (mean_at(phi + h) - mean_at(phi - h)) / (2.0 * h)
-    d_half = (mean_at(phi + 0.5 * h) - mean_at(phi - 0.5 * h)) / h
-    derivative = (4.0 * d_half - d_full) / 3.0
+    inside = apply_phases(
+        evolve_bs(build_state(state, cfg), angles.theta), 0.0, phases.phi
+    ).amplitudes
+    stack = np.stack([inside, -1j * _apply(Observable.N1, inside)], axis=-1)
+    out = _evolve(stack, angles.theta_prime)
+    psi, dpsi = _padded(out[..., 0]), _padded(out[..., 1])
+    applied = _detected(scheme, psi, phases.phi_local)
+    mean = np.vdot(psi, applied).real
+    var = np.vdot(applied, applied).real - mean**2
+    derivative = 2.0 * np.vdot(dpsi, applied).real
     if abs(derivative) < 1e-8 * max(1.0, math.sqrt(max(var, 0.0))):
         raise ZeroDerivative("numeric signal slope vanishes at this working point")
     return math.sqrt(max(var, 0.0)) / abs(derivative)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .states import SchwingerMoments
@@ -89,9 +89,6 @@ class PhaseConfig:
     convention: Convention
     phi: float
     phi_local: float = 0.0  # local-oscillator phase, homodyne only
-
-    def with_phi(self, phi: float) -> "PhaseConfig":
-        return replace(self, phi=phi)
 
     @property
     def phi1(self) -> float:

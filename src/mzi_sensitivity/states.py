@@ -139,8 +139,7 @@ class FieldMoments:
 
     ``var_a`` is the complex quantity <a^2> - <a>^2 and ``cov_n`` the
     (real, nonnegative) normally ordered covariance <n> - |<a>|^2.  The
-    cross-mode covariances vanish for the product inputs supported here but
-    are kept as explicit fields for the homodyne variance expansion.
+    cross-mode covariances vanish for the product inputs supported here.
     """
 
     mean_a0: complex
@@ -149,8 +148,6 @@ class FieldMoments:
     var_a1: complex
     cov_n0: float
     cov_n1: float
-    cov_a0_a1: complex = 0.0 + 0.0j
-    cov_a0_a1dag: complex = 0.0 + 0.0j
 
 
 @dataclass(frozen=True)

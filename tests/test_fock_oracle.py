@@ -1,14 +1,17 @@
 """Truncated Fock-space simulator: construction, unitarity, convergence."""
 import math
+import random
 
 import numpy as np
 import pytest
 
 from conftest import rel_err
+from mzi_sensitivity.detection import Scheme, sensitivity_difference, sensitivity_single
 from mzi_sensitivity.errors import CutoffExceeded, ZeroDerivative
 from mzi_sensitivity.fock_oracle import (
     Observable,
     OracleConfig,
+    _block_unitary,
     apply_phases,
     build_state,
     evolve_bs,
@@ -24,6 +27,7 @@ from mzi_sensitivity.states import (
     InputState,
     coherent,
     fock,
+    schwinger_moments,
     squeezed_vacuum,
     vacuum,
 )
@@ -53,8 +57,6 @@ def test_cutoff_guard_fires_for_bright_inputs():
 def test_config_validation():
     with pytest.raises(ValueError):
         OracleConfig(tail_tolerance=1e-3)
-    with pytest.raises(ValueError):
-        OracleConfig(fd_step=0.0)
 
 
 def test_zero_angle_is_identity():
@@ -143,8 +145,6 @@ def test_cutoff_convergence_of_sensitivities():
     angles = BsAngles(1.1, 2.0)
     phases = PhaseConfig(Convention.EXTERNAL_REFERENCE, 1.3, 0.2)
     for scheme_value in ("difference_intensity", "single_mode_intensity", "balanced_homodyne"):
-        from mzi_sensitivity.detection import Scheme
-
         scheme = Scheme(scheme_value)
         a = oracle_sensitivity(state, angles, phases, scheme, loose)
         b = oracle_sensitivity(state, angles, phases, scheme, tight)
@@ -153,8 +153,6 @@ def test_cutoff_convergence_of_sensitivities():
 
 def test_oracle_flags_zero_derivative():
     state = InputState(port0=vacuum(), port1=vacuum())
-    from mzi_sensitivity.detection import Scheme
-
     with pytest.raises(ZeroDerivative):
         oracle_sensitivity(
             state,
@@ -183,7 +181,6 @@ def test_oracle_qfi_examples(tight_oracle):
 def test_oracle_homodyne_respects_single_parameter_bound(tight_oracle):
     state = InputState(port0=fock(1), port1=coherent(2.0))
     theta = 2.0 * math.acos(math.sqrt(0.7487562189054726))
-    from mzi_sensitivity.detection import Scheme
     from mzi_sensitivity.optimize import optimize_bs2_homodyne
     from mzi_sensitivity.states import field_moments
 
@@ -197,3 +194,38 @@ def test_oracle_homodyne_respects_single_parameter_bound(tight_oracle):
     )
     bound = 1.0 / math.sqrt(oracle_qfi_single(state, theta, tight_oracle))
     assert value >= bound * (1.0 - 1e-9)
+
+
+def test_oracle_slope_is_exact_next_to_a_dark_fringe():
+    """Just off the zero of the signal slope the sensitivity is huge and a
+    finite-difference slope loses its digits; the stacked psi / d(psi)/d(phi)
+    evolution keeps the closed forms to 1e-8."""
+    state = InputState(port0=squeezed_vacuum(0.5, 0.3), port1=coherent(1.5, 0.2))
+    angles = BsAngles(1.0, 2.0)
+    cfg = OracleConfig(tail_tolerance=1e-11, max_joint_dimension=16384)  # criterion 7b
+    m = schwinger_moments(state)
+    phi0 = math.atan2(
+        -m.mean_jx, math.cos(angles.theta) * m.mean_jy + math.sin(angles.theta) * m.mean_jz
+    )
+    phi = phi0 + 1e-5
+    phases = PhaseConfig(Convention.EXTERNAL_REFERENCE, phi)
+    for scheme, closed_form in (
+        (Scheme.SINGLE_MODE_INTENSITY, sensitivity_single),
+        (Scheme.DIFFERENCE_INTENSITY, sensitivity_difference),
+    ):
+        analytic = closed_form(m, angles, phi).delta_phi
+        assert analytic > 1e5
+        assert rel_err(oracle_sensitivity(state, angles, phases, scheme, cfg), analytic) < 1e-8
+
+
+def test_block_cache_is_keyed_by_block_only():
+    state = InputState(port0=squeezed_vacuum(0.4, 0.1), port1=coherent(1.2, 0.5))
+    ts = build_state(state)
+    rng = random.Random(7)
+    _block_unitary.cache_clear()
+    for _ in range(50):
+        angles = BsAngles(rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0))
+        phases = PhaseConfig(Convention.EXTERNAL_REFERENCE, rng.uniform(0.0, 2.0 * math.pi))
+        oracle_sensitivity(state, angles, phases, Scheme.DIFFERENCE_INTENSITY)
+    # BS1 fills the square of side dim0 + dim1 - 1; its top block is the largest
+    assert _block_unitary.cache_info().currsize <= ts.dim0 + ts.dim1 - 1

@@ -62,14 +62,6 @@ def test_fock_field_moments():
     assert fm.cov_n0 == 3.0
 
 
-def test_product_state_has_no_cross_covariances():
-    fm = field_moments(
-        InputState(port0=squeezed_coherent(1.0, 0.3, 0.5, 0.1), port1=coherent(2.0, 0.2))
-    )
-    assert fm.cov_a0_a1 == 0.0
-    assert fm.cov_a0_a1dag == 0.0
-
-
 def test_mode_spec_rejects_unused_fields():
     with pytest.raises(ValueError):
         ModeSpec(Kind.FOCK, amplitude_mag=1.0, fock_n=2)
